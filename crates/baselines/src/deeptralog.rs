@@ -54,7 +54,7 @@ impl DeepTraLog {
                 let mut rows = Vec::with_capacity(enc.len());
                 for i in 0..enc.len() {
                     let mut r = vec![enc.d_scaled[i], enc.e[i]];
-                    r.extend_from_slice(&enc.sem[i]);
+                    r.extend_from_slice(enc.sem_row(i));
                     rows.push(r);
                 }
                 Tensor::from_rows(rows)
@@ -145,7 +145,7 @@ impl DeepTraLog {
         let mut rows = Vec::with_capacity(enc.len());
         for i in 0..enc.len() {
             let mut r = vec![enc.d_scaled[i], enc.e[i]];
-            r.extend_from_slice(&enc.sem[i]);
+            r.extend_from_slice(enc.sem_row(i));
             rows.push(r);
         }
         self.embed_features(&Tensor::from_rows(rows))

@@ -8,7 +8,7 @@
 //! ```text
 //! RCA_BENCH mode=pruned traces=142 calls=169 calls_per_trace=1.19 p50_us=2134 p99_us=4224 pruned_span_fraction=0.94
 //! RCA_BENCH mode=unpruned traces=142 calls=882 calls_per_trace=6.21 p50_us=7339 p99_us=14467 pruned_span_fraction=0.94
-//! RCA_BENCH summary call_ratio=0.19 speedup=3.4 identical_sets=1
+//! RCA_BENCH summary call_ratio=0.19 speedup=3.4 identical_sets=1 observed_family_fraction=0.019
 //! ```
 //!
 //! Both modes run the *same* candidate ranking and accept logic; the
@@ -16,6 +16,9 @@
 //! answers repeated counterfactual queries as deltas over the live
 //! candidate mask. `identical_sets=1` certifies that every verdict
 //! matched span-for-span — the speedup is free.
+//! `observed_family_fraction` is the share of the pruned mode's trace
+//! families whose observed pass its sessions ran: abduction is lazy and
+//! closure-only, so it tracks the fault's size, not the trace's.
 
 use std::time::Instant;
 
@@ -37,6 +40,8 @@ struct ModeStats {
     calls: u64,
     latencies_us: Vec<u128>,
     pruned_fraction_sum: f64,
+    families: u64,
+    observed_families: u64,
     verdicts: Vec<Vec<String>>,
 }
 
@@ -45,6 +50,8 @@ fn run_mode(rca: &CounterfactualRca, traces: &[&Trace]) -> ModeStats {
         calls: 0,
         latencies_us: Vec::with_capacity(traces.len()),
         pruned_fraction_sum: 0.0,
+        families: 0,
+        observed_families: 0,
         verdicts: Vec::with_capacity(traces.len()),
     };
     for trace in traces {
@@ -53,6 +60,10 @@ fn run_mode(rca: &CounterfactualRca, traces: &[&Trace]) -> ModeStats {
         stats.latencies_us.push(started.elapsed().as_micros());
         stats.calls += report.predict_calls;
         stats.pruned_fraction_sum += report.pruned_span_fraction;
+        stats.families += (0..trace.len())
+            .filter(|&i| !trace.children(i).is_empty())
+            .count() as u64;
+        stats.observed_families += report.observed_families;
         stats.verdicts.push(report.services);
     }
     stats.latencies_us.sort_unstable();
@@ -112,10 +123,12 @@ fn main() {
     let p50_pruned = percentile(&pruned.latencies_us, 0.50).max(1) as f64;
     let p50_unpruned = percentile(&unpruned.latencies_us, 0.50) as f64;
     println!(
-        "RCA_BENCH summary call_ratio={:.4} speedup={:.2} identical_sets={}",
+        "RCA_BENCH summary call_ratio={:.4} speedup={:.2} identical_sets={} \
+         observed_family_fraction={:.4}",
         pruned.calls as f64 / (unpruned.calls as f64).max(1.0),
         p50_unpruned / p50_pruned,
         u8::from(identical),
+        pruned.observed_families as f64 / (pruned.families as f64).max(1.0),
     );
     assert!(identical, "pruned and unpruned verdicts diverged");
 }

@@ -11,48 +11,54 @@
 //!
 //! # Adaptive pruning (`prune`, on by default)
 //!
-//! The search's cost model changed in two ways relative to the naive
-//! O(candidates × spans) loop, without changing a single answer:
+//! Localisation cost scales with the fault, not with the trace, without
+//! changing a single answer:
 //!
-//! 1. **One [`SubtreeScan`] per localisation** fixes the restorable
-//!    span set (anomalous exclusive duration or exclusive error) up
-//!    front. Candidates with no restorable affiliated span are *pruned*:
-//!    their restoration is the identity, so every query about them is
-//!    answered from the observation with zero model evaluations.
+//! 1. **One [`SubtreeScan`] per localisation** is the only per-span
+//!    pass. It records exclusive durations and errors, profile medians
+//!    and the restorable spans (anomalous exclusive duration or
+//!    exclusive error). Ranking, the candidates' override lists and the
+//!    featurizer all read it. Candidates with no restorable affiliated
+//!    span are *pruned*: their restoration is the identity, so every
+//!    query about them is answered from the observation with zero model
+//!    evaluations.
 //! 2. **One [`CfSession`] per localisation** replaces per-query
-//!    encode+abduce: the observed pass runs once and each query
-//!    recomputes only the ancestor closure of its (effective) override
-//!    frontier — the scan's surviving subgraph. Query results are
-//!    additionally memoised on the set of live candidates involved, so
-//!    prefixes and elimination probes that differ only in pruned
-//!    candidates cost nothing.
+//!    encode+abduce. It abduces lazily: a family's observed pass runs
+//!    the first time a query's ancestor closure reaches it, so the
+//!    session only ever evaluates families inside the scan's surviving
+//!    subgraph. Each query recomputes only the ancestor closure of its
+//!    (effective) override frontier. Query results are additionally
+//!    memoised on the set of live candidates involved, so prefixes and
+//!    elimination probes that differ only in pruned candidates cost
+//!    nothing.
+//! 3. **Featurization takes no lock.** The embedding table is read-only
+//!    after fit, keyed by `(service, name)` symbols, and a miss embeds
+//!    deterministically, so any number of RCA workers share one
+//!    localiser behind an `Arc`.
 //!
 //! The candidate ranking and the accept/eliminate control flow are
 //! bit-identical in both modes — pruning reduces *work*, never
 //! *answers* — which is what lets the property suite assert pruned ≡
 //! unpruned across every synthetic scenario rather than approximately.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::collections::{HashMap, HashSet};
 
 use sleuth_baselines::common::{OpKey, OpProfile, RootCauseLocator};
 use sleuth_gnn::{CfRoot, CfSession, EncodedTrace, Featurizer, SleuthModel};
 use sleuth_par::ThreadPool;
 use sleuth_trace::{Symbol, Trace};
 
-use crate::prune::SubtreeScan;
+use crate::prune::{affiliated_with, SubtreeScan};
 
 /// The Sleuth counterfactual localiser: a trained GNN plus the normal
 /// profile it restores spans against.
 #[derive(Debug)]
 pub struct CounterfactualRca {
     model: SleuthModel,
-    // Mutex (not RefCell) so the localiser — and the pipeline holding
-    // it — is Sync and can serve RCA queries from worker threads
-    // behind an `Arc`. Encoding mutates only the featurizer's
-    // vocabulary cache, which is deterministic per span text, so
-    // concurrent callers see identical encodings regardless of order.
-    featurizer: Mutex<Featurizer>,
+    // Read-only after fit (`Featurizer::encode_with` takes `&self`), so
+    // the localiser — and the pipeline holding it — is Sync and serves
+    // RCA queries from worker threads behind an `Arc` without a lock.
+    featurizer: Featurizer,
     profile: OpProfile,
     /// Maximum number of ranked candidate services *considered* per
     /// localisation. The restoration search only ever probes prefixes
@@ -86,6 +92,11 @@ pub struct RcaReport {
     pub pruned_span_fraction: f64,
     /// Spans in the trace.
     pub spans: usize,
+    /// Families (spans with children) whose observed pass the pruned
+    /// path's session ran: the abduction work the search paid for. The
+    /// legacy path abduces afresh inside every one-shot query and
+    /// reports 0.
+    pub observed_families: u64,
 }
 
 impl CounterfactualRca {
@@ -94,7 +105,7 @@ impl CounterfactualRca {
     pub fn new(model: SleuthModel, featurizer: Featurizer, profile: OpProfile) -> Self {
         CounterfactualRca {
             model,
-            featurizer: Mutex::new(featurizer),
+            featurizer,
             profile,
             max_candidates: 5,
             slo_multiplier: 1.0,
@@ -110,7 +121,7 @@ impl CounterfactualRca {
     pub fn with_profile(&self, profile: OpProfile) -> CounterfactualRca {
         CounterfactualRca {
             model: self.model.clone(),
-            featurizer: Mutex::new(self.featurizer.lock().expect("featurizer lock").clone()),
+            featurizer: self.featurizer.clone(),
             profile,
             max_candidates: self.max_candidates,
             slo_multiplier: self.slo_multiplier,
@@ -123,19 +134,26 @@ impl CounterfactualRca {
         &self.model
     }
 
+    /// The featurizer, with the embedding table fitted on the training
+    /// corpus.
+    pub fn featurizer(&self) -> &Featurizer {
+        &self.featurizer
+    }
+
     /// The normal-state profile.
     pub fn profile(&self) -> &OpProfile {
         &self.profile
     }
 
-    /// Services each span is affiliated with (§3.5): every span
-    /// affiliates with its own service; *client* spans additionally
-    /// affiliate with their callee services, because failures at the
-    /// callee (e.g. network faults) surface in the caller's span
-    /// without touching the callee's own spans.
-    fn affiliations(trace: &Trace, i: usize) -> Vec<Symbol> {
+    /// Services span `i` is affiliated with (§3.5), written to `out`:
+    /// every span affiliates with its own service; *client* spans
+    /// additionally affiliate with their callee services, because
+    /// failures at the callee (e.g. network faults) surface in the
+    /// caller's span without touching the callee's own spans.
+    fn affiliations(trace: &Trace, i: usize, out: &mut Vec<Symbol>) {
         let s = trace.span(i);
-        let mut out = vec![s.service_sym()];
+        out.clear();
+        out.push(s.service_sym());
         if s.kind.is_caller() {
             for &c in trace.children(i) {
                 let callee = trace.span(c).service_sym();
@@ -144,35 +162,31 @@ impl CounterfactualRca {
                 }
             }
         }
-        out
-    }
-
-    /// Whether span `i` is affiliated with `service` (allocation-free
-    /// form of [`Self::affiliations`] membership).
-    fn affiliated_with(trace: &Trace, i: usize, service: Symbol) -> bool {
-        let s = trace.span(i);
-        s.service_sym() == service
-            || (s.kind.is_caller()
-                && trace
-                    .children(i)
-                    .iter()
-                    .any(|&c| trace.span(c).service_sym() == service))
     }
 
     /// Candidate services as interned symbols, most suspicious first:
     /// ranked by exclusive errors and excess exclusive duration of all
     /// affiliated spans.
     pub fn rank_candidate_syms(&self, trace: &Trace) -> Vec<Symbol> {
-        let ex_d = sleuth_trace::exclusive::exclusive_durations(trace);
-        let ex_e = sleuth_trace::exclusive::exclusive_errors(trace);
+        self.rank_top(trace, &SubtreeScan::scan(trace, &self.profile), usize::MAX)
+    }
+
+    /// The first `k` services of the [`Self::rank_candidate_syms`]
+    /// order, scored from the scan's span facts.
+    fn rank_top(&self, trace: &Trace, scan: &SubtreeScan, k: usize) -> Vec<Symbol> {
+        if k == 0 {
+            return Vec::new();
+        }
+        let ex_d = scan.exclusive_durations();
+        let ex_e = scan.exclusive_errors();
+        // Scores are sums of non-negative weights, so a span of weight 0
+        // leaves every score as it is: only positive spans are summed.
+        // Services they never reach score exactly 0 and rank after all
+        // others, by name.
         let mut score: HashMap<Symbol, f64> = HashMap::new();
+        let mut affiliated = Vec::new();
         for (i, s) in trace.iter() {
-            let median = self
-                .profile
-                .get(&OpKey::of(s))
-                .map(|st| st.median_exclusive_us as f64)
-                .unwrap_or(0.0);
-            let excess = (ex_d[i] as f64 - median).max(0.0);
+            let excess = (ex_d[i] as f64 - scan.median_us(i) as f64).max(0.0);
             // Exclusive errors whose propagation chain reaches the root
             // explain the trace's failure; broken-chain errors are
             // bystanders and get only a weak bonus.
@@ -186,13 +200,17 @@ impl CounterfactualRca {
                 0.0
             };
             let weight = excess + err_bonus;
+            if weight == 0.0 {
+                continue;
+            }
             // A client span's exclusive time is the network round trip
             // to its callee, so its excess is evidence *against the
             // callee* far more than against the caller (whose own
             // compute shows up in its server spans). The caller keeps a
             // small share to cover client-side stalls.
             let is_caller_span = s.kind.is_caller();
-            for (a, svc) in Self::affiliations(trace, i).into_iter().enumerate() {
+            Self::affiliations(trace, i, &mut affiliated);
+            for (a, &svc) in affiliated.iter().enumerate() {
                 let share = if !is_caller_span {
                     1.0
                 } else if a == 0 {
@@ -203,13 +221,29 @@ impl CounterfactualRca {
                 *score.entry(svc).or_default() += weight * share;
             }
         }
-        let mut ranked: Vec<(Symbol, f64)> = score.into_iter().collect();
-        ranked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("finite scores")
+        let by_rank = |a: &(Symbol, f64), b: &(Symbol, f64)| {
+            b.1.total_cmp(&a.1)
                 .then_with(|| a.0.as_str().cmp(b.0.as_str()))
-        });
-        ranked.into_iter().map(|(s, _)| s).collect()
+        };
+        let mut ranked: Vec<(Symbol, f64)> = score.into_iter().collect();
+        if ranked.len() > k {
+            ranked.select_nth_unstable_by(k - 1, by_rank);
+            ranked.truncate(k);
+        }
+        ranked.sort_unstable_by(by_rank);
+        let mut out: Vec<Symbol> = ranked.into_iter().map(|(s, _)| s).collect();
+        if out.len() < k {
+            let scored: HashSet<Symbol> = out.iter().copied().collect();
+            let mut unscored = HashSet::new();
+            for i in 0..trace.len() {
+                Self::affiliations(trace, i, &mut affiliated);
+                unscored.extend(affiliated.iter().filter(|s| !scored.contains(s)));
+            }
+            let mut unscored: Vec<Symbol> = unscored.into_iter().collect();
+            unscored.sort_unstable_by(|a, b| a.as_str().cmp(b.as_str()));
+            out.extend(unscored.into_iter().take(k - out.len()));
+        }
+        out
     }
 
     /// Candidate services, most suspicious first, as owned strings
@@ -240,22 +274,19 @@ impl CounterfactualRca {
 
     /// Overrides restoring every span *affiliated with* `service` to its
     /// normal state: exclusive duration = the operation's median, no
-    /// exclusive error. Only restorable spans (per the `scan`) are
-    /// emitted — for the rest the restoration is the identity and the
+    /// exclusive error. Only the scan's restorable spans are emitted —
+    /// for the rest the restoration is the identity and the
     /// counterfactual engine would discard it anyway.
     fn restore_overrides(
         trace: &Trace,
         scan: &SubtreeScan,
         service: Symbol,
-        out: &mut Vec<(usize, f32, f32)>,
-    ) {
-        for i in 0..trace.len() {
-            if let Some((d, e)) = scan.restore_target(i) {
-                if Self::affiliated_with(trace, i, service) {
-                    out.push((i, d, e));
-                }
-            }
-        }
+    ) -> Vec<(usize, f32, f32)> {
+        scan.restorable()
+            .iter()
+            .filter(|&&i| affiliated_with(trace, i, service))
+            .filter_map(|&i| scan.restore_target(i).map(|(d, e)| (i, d, e)))
+            .collect()
     }
 
     /// Whether predicted `(duration µs, error prob)` meets the SLO.
@@ -373,13 +404,8 @@ impl CounterfactualRca {
     /// Localise the root cause, returning the services together with
     /// the cost/pruning telemetry of the search.
     pub fn localize_report(&self, trace: &Trace) -> RcaReport {
-        let enc = self.featurizer.lock().expect("featurizer lock").encode(trace);
         let scan = SubtreeScan::scan(trace, &self.profile);
-        let candidates: Vec<Symbol> = self
-            .rank_candidate_syms(trace)
-            .into_iter()
-            .take(self.max_candidates)
-            .collect();
+        let candidates = self.rank_top(trace, &scan, self.max_candidates);
         let mut report = RcaReport {
             candidates: candidates.len(),
             pruned_span_fraction: scan.pruned_span_fraction(trace),
@@ -395,14 +421,13 @@ impl CounterfactualRca {
         // candidate's override list is computed exactly once.
         let per_cand: Vec<Vec<(usize, f32, f32)>> = candidates
             .iter()
-            .map(|&svc| {
-                let mut ov = Vec::new();
-                Self::restore_overrides(trace, &scan, svc, &mut ov);
-                ov
-            })
+            .map(|&svc| Self::restore_overrides(trace, &scan, svc))
             .collect();
         report.pruned_candidates = per_cand.iter().filter(|ov| ov.is_empty()).count();
 
+        let enc = self
+            .featurizer
+            .encode_with(trace, scan.exclusive_durations(), scan.exclusive_errors());
         let actual = trace.total_duration_us() as f32;
         let mut eng = QueryEngine {
             rca: self,
@@ -494,6 +519,7 @@ impl CounterfactualRca {
             .map(|k| candidates[k].as_str().to_string())
             .collect();
         report.predict_calls = eng.calls;
+        report.observed_families = eng.session.map_or(0, |s| s.observed_families());
         report
     }
 }
@@ -712,5 +738,146 @@ mod tests {
             }
         }
         assert!(hit, "callee never ranked for a network fault");
+    }
+
+    /// The ranking as first written: every span scored, zero weights
+    /// included, the whole map sorted. `rank_top` must reproduce it.
+    fn ranking_oracle(rca: &CounterfactualRca, trace: &Trace) -> Vec<Symbol> {
+        let ex_d = sleuth_trace::exclusive::exclusive_durations(trace);
+        let ex_e = sleuth_trace::exclusive::exclusive_errors(trace);
+        let mut score: HashMap<Symbol, f64> = HashMap::new();
+        let mut affiliated = Vec::new();
+        for (i, s) in trace.iter() {
+            let median = rca
+                .profile
+                .get(&OpKey::of(s))
+                .map(|st| st.median_exclusive_us as f64)
+                .unwrap_or(0.0);
+            let excess = (ex_d[i] as f64 - median).max(0.0);
+            let err_bonus = match (ex_e[i], CounterfactualRca::error_chain_to_root(trace, i)) {
+                (false, _) => 0.0,
+                (true, true) => 1e9,
+                (true, false) => 1e5,
+            };
+            let weight = excess + err_bonus;
+            CounterfactualRca::affiliations(trace, i, &mut affiliated);
+            for (a, &svc) in affiliated.iter().enumerate() {
+                let share = if s.kind.is_caller() && a == 0 { 0.2 } else { 1.0 };
+                *score.entry(svc).or_default() += weight * share;
+            }
+        }
+        let mut ranked: Vec<(Symbol, f64)> = score.into_iter().collect();
+        ranked.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap()
+                .then_with(|| a.0.as_str().cmp(b.0.as_str()))
+        });
+        ranked.into_iter().map(|(s, _)| s).collect()
+    }
+
+    fn chaos_traces(app: &sleuth_synth::App, seed: u64) -> Vec<Trace> {
+        CorpusBuilder::new(app)
+            .seed(seed)
+            .chaos(ChaosEngine::default())
+            .anomaly_queries(6, 6)
+            .into_iter()
+            .flat_map(|q| q.traces.into_iter().map(|st| st.trace))
+            .collect()
+    }
+
+    #[test]
+    fn top_k_ranking_matches_full_sort_oracle() {
+        let (rca, app) = trained_rca();
+        let mut traces = chaos_traces(&app, 31);
+        traces.extend(CorpusBuilder::new(&app).seed(32).normal_traces(6).plain_traces());
+        for trace in &traces {
+            let oracle = ranking_oracle(&rca, trace);
+            assert_eq!(rca.rank_candidate_syms(trace), oracle);
+            let scan = SubtreeScan::scan(trace, rca.profile());
+            for k in 0..=oracle.len() + 1 {
+                let top = rca.rank_top(trace, &scan, k);
+                assert_eq!(top, oracle[..k.min(oracle.len())], "k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn traces_without_restorable_spans_abduce_nothing() {
+        let (rca, app) = trained_rca();
+        let corpus = CorpusBuilder::new(&app).seed(24).normal_traces(20);
+        let mut checked = 0;
+        for st in &corpus.traces {
+            if !SubtreeScan::scan(&st.trace, rca.profile()).restorable().is_empty() {
+                continue;
+            }
+            let report = rca.localize_report(&st.trace);
+            assert_eq!(report.observed_families, 0);
+            assert_eq!(report.predict_calls, 0);
+            checked += 1;
+        }
+        assert!(checked > 0, "no healthy trace was free of restorable spans");
+    }
+
+    #[test]
+    fn abduced_families_stay_inside_the_surviving_subgraph() {
+        let (rca, app) = trained_rca();
+        let mut abduced = 0;
+        for trace in chaos_traces(&app, 33) {
+            let scan = SubtreeScan::scan(&trace, rca.profile());
+            let candidates = rca.rank_top(&trace, &scan, rca.max_candidates);
+            let per_cand: Vec<_> = candidates
+                .iter()
+                .map(|&svc| CounterfactualRca::restore_overrides(&trace, &scan, svc))
+                .collect();
+            let enc = rca.featurizer.encode_with(
+                &trace,
+                scan.exclusive_durations(),
+                scan.exclusive_errors(),
+            );
+            // Every candidate subset the search could ask about.
+            let mut session = CfSession::new(rca.model(), &enc);
+            for mask in 0u32..1 << per_cand.len() {
+                let ov: Vec<_> = (0..per_cand.len())
+                    .filter(|k| mask & (1 << k) != 0)
+                    .flat_map(|k| per_cand[k].iter().copied())
+                    .collect();
+                session.savings_bound_us(&ov);
+                session.predict_root(&ov);
+            }
+            for i in session.abduced_families() {
+                assert!(scan.is_live(i), "span {i} abduced outside the surviving subgraph");
+            }
+            let report = rca.localize_report(&trace);
+            assert!(report.observed_families <= session.observed_families());
+            abduced += session.observed_families();
+        }
+        assert!(abduced > 0, "no query ever reached the model");
+    }
+
+    #[test]
+    fn shared_localiser_across_threads_matches_single_threaded() {
+        let (rca, app) = trained_rca();
+        let traces = chaos_traces(&app, 34);
+        let expected: Vec<RcaReport> = traces.iter().map(|t| rca.localize_report(t)).collect();
+        let rca = std::sync::Arc::new(rca);
+        let traces = std::sync::Arc::new(traces);
+        let workers: Vec<_> = (0..4)
+            .map(|w| {
+                let (rca, traces) = (rca.clone(), traces.clone());
+                std::thread::spawn(move || {
+                    // Each worker walks the corpus from a different start.
+                    let n = traces.len();
+                    let mut out = vec![RcaReport::default(); n];
+                    for k in 0..n {
+                        let i = (k + w * n / 4) % n;
+                        out[i] = rca.localize_report(&traces[i]);
+                    }
+                    out
+                })
+            })
+            .collect();
+        for w in workers {
+            assert_eq!(w.join().expect("worker panicked"), expected);
+        }
     }
 }

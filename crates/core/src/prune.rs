@@ -18,26 +18,43 @@
 //!   spans — is exactly the region the session recomputes, so RCA cost
 //!   scales with fault size, not trace size.
 //!
-//! [`SubtreeScan`] runs that analysis in one pass over the trace and
-//! hands the per-span restoration targets to the localiser, which
-//! previously recomputed exclusive durations from scratch for every
-//! candidate. The scan prunes *work*, never *answers*: the candidate
-//! list and the accept/eliminate control flow are untouched, which is
-//! what makes pruned ≡ unpruned provable (and property-tested) rather
-//! than approximate.
+//! [`SubtreeScan`] runs that analysis in one pass over the trace, and
+//! is the localisation's *only* per-span pass. It records the facts
+//! every later step reads:
+//!
+//! * exclusive durations and exclusive errors (§3.2.2), which the
+//!   featurizer takes as the exclusive features instead of deriving
+//!   them again;
+//! * each span's profile median, which candidate ranking weighs excess
+//!   duration against;
+//! * the restorable spans in trace order, which each candidate's
+//!   override list is filtered from, so building a candidate's
+//!   overrides costs the fault's size, not a sweep of the trace.
+//!
+//! The scan prunes *work*, never *answers*: the candidate list and the
+//! accept/eliminate control flow are untouched, which is what makes
+//! pruned ≡ unpruned provable (and property-tested) rather than
+//! approximate.
 
 use sleuth_baselines::common::{OpKey, OpProfile};
 use sleuth_trace::{exclusive, transform, Symbol, Trace};
 
-/// Per-trace restorability analysis (see the module docs).
+/// Per-trace restorability analysis and span facts (see the module
+/// docs).
 #[derive(Debug)]
 pub struct SubtreeScan {
+    /// Exclusive duration per span (µs).
+    ex_d: Vec<u64>,
+    /// Exclusive error per span.
+    ex_e: Vec<bool>,
+    /// Normal-profile median exclusive duration per span (µs), 0 for
+    /// operations the profile has not seen.
+    median_us: Vec<u64>,
     /// Restoration override `(d*, e*)` per span, `None` when the span is
     /// already normal (restoring it would be the identity).
     restore: Vec<Option<(f32, f32)>>,
-    /// Restorable excess exclusive duration per span (µs): how far above
-    /// its normal median the span sits, 0 for normal spans.
-    excess_us: Vec<u64>,
+    /// Spans with a restoration override, ascending.
+    restorable: Vec<usize>,
     /// Whether the span's subtree (self included) contains any
     /// restorable span — i.e. whether the branch survives pruning.
     live: Vec<bool>,
@@ -50,14 +67,16 @@ impl SubtreeScan {
         let n = trace.len();
         let ex_d = exclusive::exclusive_durations(trace);
         let ex_e = exclusive::exclusive_errors(trace);
+        let mut median_us = Vec::with_capacity(n);
         let mut restore = vec![None; n];
-        let mut excess_us = vec![0u64; n];
+        let mut restorable = Vec::new();
         let mut live = vec![false; n];
         for (i, s) in trace.iter() {
             let med = profile
                 .get(&OpKey::of(s))
                 .map(|st| st.median_exclusive_us)
                 .unwrap_or(0);
+            median_us.push(med);
             // Only spans meaningfully above their normal state are
             // restored: touching already-normal spans would shave
             // ordinary median-to-observation noise off the whole
@@ -66,7 +85,7 @@ impl SubtreeScan {
             if anomalous_duration || ex_e[i] {
                 let target = if anomalous_duration { med } else { ex_d[i] };
                 restore[i] = Some((transform::scale_duration(target), 0.0));
-                excess_us[i] = ex_d[i].saturating_sub(med);
+                restorable.push(i);
                 live[i] = true;
             }
         }
@@ -82,11 +101,35 @@ impl SubtreeScan {
         }
         let live_spans = live.iter().filter(|&&l| l).count();
         SubtreeScan {
+            ex_d,
+            ex_e,
+            median_us,
             restore,
-            excess_us,
+            restorable,
             live,
             live_spans,
         }
+    }
+
+    /// Exclusive duration (µs) of every span.
+    pub fn exclusive_durations(&self) -> &[u64] {
+        &self.ex_d
+    }
+
+    /// Exclusive error flag of every span.
+    pub fn exclusive_errors(&self) -> &[bool] {
+        &self.ex_e
+    }
+
+    /// Normal-profile median exclusive duration (µs) of span `i`'s
+    /// operation, 0 when the profile has not seen it.
+    pub fn median_us(&self, i: usize) -> u64 {
+        self.median_us[i]
+    }
+
+    /// Spans whose restoration is not the identity, ascending.
+    pub fn restorable(&self) -> &[usize] {
+        &self.restorable
     }
 
     /// The restoration override for span `i`, or `None` if restoring it
@@ -95,9 +138,14 @@ impl SubtreeScan {
         self.restore[i]
     }
 
-    /// Restorable excess exclusive duration of span `i` in µs.
+    /// Restorable excess exclusive duration of span `i` in µs: how far
+    /// above its normal median the span sits, 0 for normal spans.
     pub fn excess_us(&self, i: usize) -> u64 {
-        self.excess_us[i]
+        if self.restore[i].is_some() {
+            self.ex_d[i].saturating_sub(self.median_us[i])
+        } else {
+            0
+        }
     }
 
     /// Whether span `i`'s branch survives pruning (its subtree contains
@@ -125,24 +173,24 @@ impl SubtreeScan {
     /// callees) is restorable. A labelled fault's service must always
     /// survive, which the property suite asserts.
     pub fn service_survives(&self, trace: &Trace, service: Symbol) -> bool {
-        for (i, s) in trace.iter() {
-            if self.restore[i].is_none() {
-                continue;
-            }
-            if s.service_sym() == service {
-                return true;
-            }
-            if s.kind.is_caller()
-                && trace
-                    .children(i)
-                    .iter()
-                    .any(|&c| trace.span(c).service_sym() == service)
-            {
-                return true;
-            }
-        }
-        false
+        self.restorable
+            .iter()
+            .any(|&i| affiliated_with(trace, i, service))
     }
+}
+
+/// Whether span `i` is affiliated with `service` (§3.5): its own
+/// service, or — for a client span — any of its callees' services,
+/// because failures at the callee (e.g. network faults) surface in the
+/// caller's span without touching the callee's own spans.
+pub(crate) fn affiliated_with(trace: &Trace, i: usize, service: Symbol) -> bool {
+    let s = trace.span(i);
+    s.service_sym() == service
+        || (s.kind.is_caller()
+            && trace
+                .children(i)
+                .iter()
+                .any(|&c| trace.span(c).service_sym() == service))
 }
 
 #[cfg(test)]

@@ -14,9 +14,10 @@
 //! 2. strings sharing tokens or character n-grams ("GetUser" /
 //!    "GetUserProfile") map to nearby vectors (cosine-wise),
 //! 3. unrelated strings map to near-orthogonal vectors,
-//! 4. one vector is stored per *distinct* string via
-//!    [`EmbeddingInterner`], mirroring the paper's optimisation of
-//!    keeping pointers per span instead of per-span vectors.
+//! 4. one vector per *distinct* `(service, name)` pair is enough:
+//!    `sleuth-gnn`'s featurizer stores one table row per pair,
+//!    mirroring the paper's optimisation of keeping pointers per span
+//!    instead of per-span vectors.
 //!
 //! The paper's text pre-processing is applied first: special characters
 //! removed, camel-case split, long hex digit runs replaced with a
@@ -35,8 +36,6 @@
 //! ```
 
 pub mod hashing;
-pub mod interner;
 pub mod preprocess;
 
 pub use hashing::{cosine, SemanticEmbedder};
-pub use interner::EmbeddingInterner;

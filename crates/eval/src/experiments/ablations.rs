@@ -261,7 +261,7 @@ pub fn ablation_clustering(scale: &EvalScale) -> ClusteringAblation {
     // failure direction §6.2 attributes to the SVDD distance.
     let coarse = SleuthPipeline::from_parts(
         pipeline.rca().model().clone(),
-        sleuth_gnn::Featurizer::new(pipeline.rca().model().config().sem_dim),
+        pipeline.rca().featurizer().clone(),
         &prepared.train,
         &PipelineConfig {
             hdbscan: HdbscanParams {

@@ -1,17 +1,31 @@
 //! Trace → tensor encoding (§3.2) and graph batching.
 
-use sleuth_embed::{EmbeddingInterner, SemanticEmbedder};
+use std::collections::HashMap;
+
+use sleuth_embed::SemanticEmbedder;
 use sleuth_tensor::Tensor;
-use sleuth_trace::{exclusive, transform, SpanKind, Trace};
+use sleuth_trace::{exclusive, transform, Span, SpanKind, Symbol, Trace};
 
 /// Turns traces into the model's numeric representation: per span a
 /// feature vector `[scaled duration, error, semantic embedding…]`, an
 /// exclusive-feature vector `[scaled exclusive duration, exclusive
 /// error]`, and the parent topology.
+///
+/// Embeddings are stored once per distinct `(service, name)` symbol
+/// pair (§3.2.2) in one flat table. [`Featurizer::encode`] adds the
+/// pairs it has not seen; [`Featurizer::encode_with`] only reads the
+/// table, so one featurizer can serve any number of threads without a
+/// lock. A pair missing from the table is embedded on the spot: the
+/// embedding is a pure function of the text, so a miss encodes exactly
+/// as a hit would.
 #[derive(Debug, Clone)]
 pub struct Featurizer {
-    interner: EmbeddingInterner,
+    embedder: SemanticEmbedder,
     sem_dim: usize,
+    /// Table row of each `(service, name)` pair.
+    rows: HashMap<(Symbol, Symbol), u32>,
+    /// Row-major embeddings, `sem_dim` floats per row.
+    table: Vec<f32>,
 }
 
 impl Featurizer {
@@ -20,8 +34,10 @@ impl Featurizer {
     /// see `sleuth-embed`).
     pub fn new(sem_dim: usize) -> Self {
         Featurizer {
-            interner: EmbeddingInterner::new(SemanticEmbedder::new(sem_dim)),
+            embedder: SemanticEmbedder::new(sem_dim),
             sem_dim,
+            rows: HashMap::new(),
+            table: Vec::new(),
         }
     }
 
@@ -30,12 +46,43 @@ impl Featurizer {
         self.sem_dim
     }
 
-    /// Encode one trace.
+    fn key(span: &Span) -> (Symbol, Symbol) {
+        (span.service_sym(), span.name_sym())
+    }
+
+    fn embed_span(&self, span: &Span) -> Vec<f32> {
+        self.embedder.embed(&format!("{} {}", span.service, span.name))
+    }
+
+    /// Encode one trace, first adding its unseen `(service, name)`
+    /// pairs to the embedding table.
     pub fn encode(&mut self, trace: &Trace) -> EncodedTrace {
+        for (_, span) in trace.iter() {
+            let key = Self::key(span);
+            if !self.rows.contains_key(&key) {
+                let row = self.embed_span(span);
+                self.table.extend_from_slice(&row);
+                self.rows.insert(key, self.rows.len() as u32);
+            }
+        }
         let ex_d = exclusive::exclusive_durations(trace);
         let ex_e = exclusive::exclusive_errors(trace);
+        self.encode_with(trace, &ex_d, &ex_e)
+    }
+
+    /// Encode one trace whose exclusive durations (µs) and exclusive
+    /// errors are already known, reading the embedding table only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ex_d` or `ex_e` is not one entry per span.
+    pub fn encode_with(&self, trace: &Trace, ex_d: &[u64], ex_e: &[bool]) -> EncodedTrace {
         let n = trace.len();
-        let mut sem = Vec::with_capacity(n);
+        assert!(
+            ex_d.len() == n && ex_e.len() == n,
+            "exclusive features must cover every span"
+        );
+        let mut sem = Vec::with_capacity(n * self.sem_dim);
         let mut d_scaled = Vec::with_capacity(n);
         let mut e = Vec::with_capacity(n);
         let mut d_star_scaled = Vec::with_capacity(n);
@@ -43,9 +90,13 @@ impl Featurizer {
         let mut parent = Vec::with_capacity(n);
         let mut kinds = Vec::with_capacity(n);
         for (i, span) in trace.iter() {
-            let key = format!("{} {}", span.service, span.name);
-            let id = self.interner.intern(&key);
-            sem.push(self.interner.vector(id).to_vec());
+            match self.rows.get(&Self::key(span)) {
+                Some(&row) => {
+                    let at = row as usize * self.sem_dim;
+                    sem.extend_from_slice(&self.table[at..at + self.sem_dim]);
+                }
+                None => sem.extend_from_slice(&self.embed_span(span)),
+            }
             d_scaled.push(transform::scale_duration(span.duration_us()));
             e.push(if span.is_error() { 1.0 } else { 0.0 });
             d_star_scaled.push(transform::scale_duration(ex_d[i]));
@@ -68,8 +119,9 @@ impl Featurizer {
 /// One encoded trace (indices follow the trace's topological order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodedTrace {
-    /// Per-span semantic embedding of `service name`.
-    pub sem: Vec<Vec<f32>>,
+    /// Semantic embeddings of `service name`, row-major: span `i`'s
+    /// vector is [`EncodedTrace::sem_row`]`(i)`.
+    pub sem: Vec<f32>,
     /// Observed span durations, log-scaled.
     pub d_scaled: Vec<f32>,
     /// Observed error flags (0/1).
@@ -97,7 +149,13 @@ impl EncodedTrace {
 
     /// Semantic dimensionality.
     pub fn sem_dim(&self) -> usize {
-        self.sem.first().map(|v| v.len()).unwrap_or(0)
+        self.sem.len().checked_div(self.len()).unwrap_or(0)
+    }
+
+    /// Semantic embedding of span `i`.
+    pub fn sem_row(&self, i: usize) -> &[f32] {
+        let dim = self.sem_dim();
+        &self.sem[i * dim..(i + 1) * dim]
     }
 }
 
@@ -146,7 +204,7 @@ impl GraphBatch {
             for i in 0..t.len() {
                 x.push(t.d_scaled[i]);
                 x.push(t.e[i]);
-                x.extend_from_slice(&t.sem[i]);
+                x.extend_from_slice(t.sem_row(i));
                 x_star.push(t.d_star_scaled[i]);
                 x_star.push(t.e_star[i]);
                 d_target.push(t.d_scaled[i]);
@@ -211,6 +269,20 @@ mod tests {
         let a = f.encode(&small_trace(1));
         let b = f.encode(&small_trace(2));
         assert_eq!(a.sem, b.sem);
+    }
+
+    #[test]
+    fn a_table_miss_encodes_as_a_hit() {
+        let t = small_trace(3);
+        let mut fitted = Featurizer::new(8);
+        let hit = fitted.encode(&t);
+        let fresh = Featurizer::new(8);
+        let ex_d = exclusive::exclusive_durations(&t);
+        let ex_e = exclusive::exclusive_errors(&t);
+        assert_eq!(fresh.encode_with(&t, &ex_d, &ex_e), hit);
+        // Embeddings are those of the `service name` text.
+        let text = SemanticEmbedder::new(8).embed("db query");
+        assert_eq!(hit.sem_row(1), text.as_slice());
     }
 
     #[test]

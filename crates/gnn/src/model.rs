@@ -330,7 +330,7 @@ impl SleuthModel {
             for &j in fam {
                 xc.push(d_hat[j]);
                 xc.push(e_hat[j]);
-                xc.extend_from_slice(&enc.sem[j]);
+                xc.extend_from_slice(enc.sem_row(j));
             }
             let xc = Tensor::new(vec![fam.len(), f], xc);
             // Family sum / mean.
@@ -406,7 +406,7 @@ impl SleuthModel {
         for &j in &fam {
             fam_agg[0] += enc.d_scaled[j];
             fam_agg[1] += enc.e[j];
-            for (c, s) in fam_agg[2..].iter_mut().zip(&enc.sem[j]) {
+            for (c, s) in fam_agg[2..].iter_mut().zip(enc.sem_row(j)) {
                 *c += s;
             }
         }
@@ -424,7 +424,7 @@ impl SleuthModel {
                     let xjc = if c < 2 {
                         [enc.d_scaled[j], enc.e[j]][c]
                     } else {
-                        enc.sem[j][c - 2]
+                        enc.sem_row(j)[c - 2]
                     };
                     self.config.epsilon * xjc
                 } else {
@@ -467,9 +467,9 @@ impl SleuthModel {
     ///
     /// Spans outside the overrides' ancestor closure reproduce their
     /// observed values exactly (that is what abduction pins down), so
-    /// this is a one-shot [`crate::CfSession`] — callers issuing many
-    /// override sets against the same trace should hold a session and
-    /// amortise the observed pass.
+    /// this is a one-shot [`crate::CfSession`], which abduces only that
+    /// closure — callers issuing many override sets against the same
+    /// trace should hold a session and share the abduced families.
     pub fn predict_counterfactual(
         &self,
         enc: &EncodedTrace,

@@ -1,4 +1,4 @@
-//! Reusable counterfactual sessions: abduce once, re-predict deltas.
+//! Reusable counterfactual sessions: abduce lazily, re-predict deltas.
 //!
 //! [`SleuthModel::predict_counterfactual`] runs Pearl's
 //! abduction–action–prediction over the trace's causal Bayesian network.
@@ -11,14 +11,22 @@
 //!
 //! [`CfSession`] factors the localisation loop accordingly:
 //!
-//! * **Construction** runs the observed pass once: the children CSR, the
-//!   per-family observed wait, the per-node log-space duration residual,
-//!   and the observed clipped-ReLU knees `(u, v)` for every child slot.
+//! * **Construction** only builds the children CSR and the scratch
+//!   buffers. It evaluates no family.
+//! * **Abduction is lazy and closure-only.** A family's observed pass
+//!   (the observed wait, the node's log-space duration residual and
+//!   the observed clipped-ReLU knees `(u, v)` of its child slots) runs
+//!   the first time a query puts its parent in the affected set, and is
+//!   kept for later queries. A span outside every query's ancestor
+//!   closure keeps its observed value, so its family is never needed.
+//!   An RCA search that restores only a fault's spans therefore pays
+//!   for the fault's ancestor closure, not for the trace.
+//!   [`CfSession::observed_families`] counts the families abduced.
 //! * **[`CfSession::predict_root`]** applies an override set as a delta.
 //!   Overrides equal to the observed exclusive features are discarded
 //!   (they cannot change anything); the ancestor closure of the
 //!   survivors is the only region recomputed, children before parents.
-//!   Every span outside that frontier keeps its observed value — which
+//!   Every span outside that closure keeps its observed value — which
 //!   is exactly what abduction guarantees the full pass would produce
 //!   for untouched subtrees, so the delta path is not an approximation
 //!   of the one-shot semantics, it *is* the semantics.
@@ -68,10 +76,10 @@ impl CfRoot {
 
 /// A per-trace counterfactual session (see the module docs).
 ///
-/// Holds the observed-pass abduction state for one encoded trace and
-/// answers override queries by recomputing only the override frontier's
-/// ancestor closure. Scratch buffers are epoch-stamped, so repeated
-/// queries allocate nothing.
+/// Holds the abduction state for one encoded trace, filled family by
+/// family as queries reach it, and answers override queries by
+/// recomputing only the override frontier's ancestor closure. Scratch
+/// buffers are epoch-stamped, so repeated queries allocate nothing.
 #[derive(Debug)]
 pub struct CfSession<'m> {
     model: &'m SleuthModel,
@@ -79,12 +87,15 @@ pub struct CfSession<'m> {
     /// Children CSR: children of `i` are `child_idx[child_off[i]..child_off[i+1]]`.
     child_off: Vec<u32>,
     child_idx: Vec<u32>,
-    /// Observed log-space duration residual per node (abduction).
+    /// `abduced[i]` ⇔ `i`'s observed family pass has run (leaves need none).
+    abduced: Vec<bool>,
+    /// Observed log-space duration residual per abduced node.
     resid_d_log: Vec<f32>,
     /// Observed clipped-ReLU knees for node `j` *as a child of its
-    /// parent* (µs). Root slot unused.
+    /// parent* (µs), filled when the parent is abduced. Root slot unused.
     u_obs: Vec<f32>,
     v_obs: Vec<f32>,
+    observed_families: u64,
     epoch: u32,
     /// `stamp[i] == epoch` ⇔ `i` is in the current query's affected set.
     stamp: Vec<u32>,
@@ -125,7 +136,7 @@ fn family_wait(
         let j = j as usize;
         fam_agg[0] += d_of(j);
         fam_agg[1] += e_of(j);
-        for (c, s) in fam_agg[2..].iter_mut().zip(&enc.sem[j]) {
+        for (c, s) in fam_agg[2..].iter_mut().zip(enc.sem_row(j)) {
             *c += s;
         }
     }
@@ -137,6 +148,7 @@ fn family_wait(
     let mut input = Vec::with_capacity(fam.len() * in_dim);
     for &j in fam {
         let j = j as usize;
+        let sem = enc.sem_row(j);
         input.push(d_star_i);
         input.push(e_star_i);
         let self_feats = [d_of(j), e_of(j)];
@@ -146,7 +158,7 @@ fn family_wait(
                 let xjc = if c < 2 {
                     self_feats[c]
                 } else {
-                    enc.sem[j][c - 2]
+                    sem[c - 2]
                 };
                 model.config.epsilon * xjc
             } else {
@@ -172,7 +184,8 @@ fn family_wait(
 }
 
 impl<'m> CfSession<'m> {
-    /// Run the observed pass once and return a query-ready session.
+    /// A query-ready session. No family is evaluated until a query
+    /// needs it (module docs).
     pub fn new(model: &'m SleuthModel, enc: &'m EncodedTrace) -> Self {
         let n = enc.len();
         let mut child_off = vec![0u32; n + 1];
@@ -191,39 +204,16 @@ impl<'m> CfSession<'m> {
             }
         }
 
-        let mut resid_d_log = vec![0f32; n];
-        let mut u_obs = vec![0f32; n];
-        let mut v_obs = vec![f32::INFINITY; n];
-        for i in (0..n).rev() {
-            let fam = &child_idx[child_off[i] as usize..child_off[i + 1] as usize];
-            if fam.is_empty() {
-                continue;
-            }
-            let wait_obs = family_wait(
-                model,
-                enc,
-                fam,
-                &|j| enc.d_scaled[j],
-                &|j| enc.e[j],
-                enc.d_star_scaled[i],
-                enc.e_star[i],
-                Some(&mut |j, u, v| {
-                    u_obs[j] = u;
-                    v_obs[j] = v;
-                }),
-            );
-            let d_tf = wait_obs + unscale_f(enc.d_star_scaled[i]);
-            resid_d_log[i] = enc.d_scaled[i] - scale_log_f(d_tf);
-        }
-
         CfSession {
             model,
             enc,
             child_off,
             child_idx,
-            resid_d_log,
-            u_obs,
-            v_obs,
+            abduced: vec![false; n],
+            resid_d_log: vec![0.0; n],
+            u_obs: vec![0.0; n],
+            v_obs: vec![f32::INFINITY; n],
+            observed_families: 0,
             epoch: 0,
             stamp: vec![0; n],
             ov_stamp: vec![0; n],
@@ -236,6 +226,34 @@ impl<'m> CfSession<'m> {
             calls: 0,
             nodes_recomputed: 0,
         }
+    }
+
+    /// Run node `i`'s observed family pass: pin its duration residual
+    /// and its children's observed knees.
+    fn abduce(&mut self, i: usize) {
+        self.abduced[i] = true;
+        let fam = &self.child_idx[self.child_off[i] as usize..self.child_off[i + 1] as usize];
+        if fam.is_empty() {
+            return;
+        }
+        self.observed_families += 1;
+        let enc = self.enc;
+        let (u_obs, v_obs) = (&mut self.u_obs, &mut self.v_obs);
+        let wait_obs = family_wait(
+            self.model,
+            enc,
+            fam,
+            &|j| enc.d_scaled[j],
+            &|j| enc.e[j],
+            enc.d_star_scaled[i],
+            enc.e_star[i],
+            Some(&mut |j, u, v| {
+                u_obs[j] = u;
+                v_obs[j] = v;
+            }),
+        );
+        let d_tf = wait_obs + unscale_f(enc.d_star_scaled[i]);
+        self.resid_d_log[i] = enc.d_scaled[i] - scale_log_f(d_tf);
     }
 
     /// Number of spans in the session's trace.
@@ -254,6 +272,17 @@ impl<'m> CfSession<'m> {
         self.calls
     }
 
+    /// Families whose observed pass has run so far — the abduction work
+    /// the queries paid for. Identity queries abduce nothing.
+    pub fn observed_families(&self) -> u64 {
+        self.observed_families
+    }
+
+    /// Spans whose (non-empty) family has been abduced, ascending.
+    pub fn abduced_families(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).filter(|&i| self.abduced[i] && !self.children(i).is_empty())
+    }
+
     /// Total spans recomputed across all counted queries. The ratio to
     /// `predict_calls * len()` is the fraction of work the delta path
     /// saved over full re-prediction.
@@ -267,8 +296,9 @@ impl<'m> CfSession<'m> {
 
     /// Stage the override set for a new epoch: store per-node override
     /// values, discard no-ops, and stamp the ancestor closure of the
-    /// effective ones (descending = children first). Returns `false`
-    /// when nothing effective remains.
+    /// effective ones (descending = children first), abducing each
+    /// closure node on first sight. Returns `false` when nothing
+    /// effective remains.
     fn mark(&mut self, overrides: &[(usize, f32, f32)]) -> bool {
         self.epoch += 1;
         self.affected.clear();
@@ -299,6 +329,9 @@ impl<'m> CfSession<'m> {
                 }
                 self.stamp[cur] = self.epoch;
                 self.affected.push(cur as u32);
+                if !self.abduced[cur] {
+                    self.abduce(cur);
+                }
                 match self.enc.parent[cur] {
                     Some(p) => cur = p,
                     None => break,
@@ -446,7 +479,46 @@ impl<'m> CfSession<'m> {
 mod tests {
     use super::*;
     use crate::encode::Featurizer;
+    use crate::model::ModelConfig;
+    use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
+    use rand::{Rng, SeedableRng};
+    use sleuth_synth::scenario::{Scenario, ScenarioKind, ScenarioParams};
     use sleuth_trace::{Span, SpanKind, Trace};
+    use std::sync::OnceLock;
+
+    impl<'m> CfSession<'m> {
+        /// The reference the lazy session must reproduce: the eager
+        /// observed pass, every family abduced up front, children before
+        /// parents.
+        fn new_eager(model: &'m SleuthModel, enc: &'m EncodedTrace) -> Self {
+            let mut s = CfSession::new(model, enc);
+            for i in (0..enc.len()).rev() {
+                let fam = &s.child_idx[s.child_off[i] as usize..s.child_off[i + 1] as usize];
+                if fam.is_empty() {
+                    continue;
+                }
+                let (u_obs, v_obs) = (&mut s.u_obs, &mut s.v_obs);
+                let wait_obs = family_wait(
+                    model,
+                    enc,
+                    fam,
+                    &|j| enc.d_scaled[j],
+                    &|j| enc.e[j],
+                    enc.d_star_scaled[i],
+                    enc.e_star[i],
+                    Some(&mut |j, u, v| {
+                        u_obs[j] = u;
+                        v_obs[j] = v;
+                    }),
+                );
+                let d_tf = wait_obs + unscale_f(enc.d_star_scaled[i]);
+                s.resid_d_log[i] = enc.d_scaled[i] - scale_log_f(d_tf);
+                s.observed_families += 1;
+            }
+            s.abduced.fill(true);
+            s
+        }
+    }
 
     fn chain_trace() -> Trace {
         // root -> mid -> {leaf_a (slow), leaf_b}
@@ -489,9 +561,9 @@ mod tests {
             vec![(2, enc.d_star_scaled[2], enc.e_star[2])], // identity
         ];
         for ov in &cases {
-            let full = model.predict_counterfactual(&enc, ov);
-            let again = sess.predict_full(ov);
-            assert_eq!(full, again, "override set {ov:?}");
+            let oracle = CfSession::new_eager(&model, &enc).predict_full(ov);
+            assert_eq!(oracle, model.predict_counterfactual(&enc, ov), "one-shot {ov:?}");
+            assert_eq!(oracle, sess.predict_full(ov), "reused session {ov:?}");
         }
     }
 
@@ -507,6 +579,8 @@ mod tests {
         assert_eq!(full.d_scaled, enc.d_scaled);
         assert_eq!(full.e_prob, enc.e);
         assert_eq!(sess.predict_calls(), 0, "identity queries are free");
+        assert_eq!(sess.savings_bound_us(&identity), 0.0);
+        assert_eq!(sess.observed_families(), 0, "identity queries abduce nothing");
     }
 
     #[test]
@@ -517,6 +591,9 @@ mod tests {
         let _ = sess.predict_root(&[(3, enc.d_star_scaled[3] - 2.0, 0.0)]);
         assert_eq!(sess.predict_calls(), 1);
         assert_eq!(sess.nodes_recomputed(), 3);
+        // Only the closure's families were abduced: {1, 0}; leaf 3 has none.
+        assert_eq!(sess.abduced_families().collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(sess.observed_families(), 2);
     }
 
     #[test]
@@ -535,5 +612,105 @@ mod tests {
         );
         // And an untouched-trace query has nothing to recover.
         assert_eq!(sess.savings_bound_us(&[]), 0.0);
+    }
+
+    /// A few encoded traces from every scenario generator: the first
+    /// faulted ones and one healthy one per schedule.
+    fn scenario_encodings() -> &'static [EncodedTrace] {
+        static ENC: OnceLock<Vec<EncodedTrace>> = OnceLock::new();
+        ENC.get_or_init(|| {
+            let mut f = Featurizer::new(ModelConfig::default().sem_dim);
+            let mut out = Vec::new();
+            for kind in ScenarioKind::ALL {
+                let params = if kind == ScenarioKind::ThousandServices {
+                    ScenarioParams {
+                        num_rpcs: 1100,
+                        app_seed: 1,
+                        duration_us: 30_000_000,
+                        base_rate_per_sec: 0.5,
+                    }
+                } else {
+                    ScenarioParams {
+                        duration_us: 120_000_000,
+                        ..ScenarioParams::smoke()
+                    }
+                };
+                let schedule = Scenario::generate(kind, &params, 42).schedule();
+                let (faulted, healthy): (Vec<_>, Vec<_>) = schedule
+                    .traces
+                    .iter()
+                    .partition(|t| !t.sim.ground_truth.services.is_empty());
+                let picked = faulted.iter().take(3).chain(healthy.iter().take(1));
+                let before = out.len();
+                out.extend(picked.map(|t| f.encode(&t.sim.trace)));
+                assert!(out.len() > before, "{} scheduled no traces", kind.name());
+            }
+            out
+        })
+    }
+
+    fn models() -> &'static [SleuthModel; 2] {
+        static M: OnceLock<[SleuthModel; 2]> = OnceLock::new();
+        M.get_or_init(|| {
+            let gcn = ModelConfig {
+                aggregator: AggregatorKind::Gcn,
+                ..ModelConfig::default()
+            };
+            [SleuthModel::new(&ModelConfig::default(), 5), SleuthModel::new(&gcn, 6)]
+        })
+    }
+
+    fn bits(p: &TracePrediction) -> Vec<(u32, u32)> {
+        p.d_scaled
+            .iter()
+            .zip(&p.e_prob)
+            .map(|(d, e)| (d.to_bits(), e.to_bits()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// On traces of all six scenario generators, a lazily abducing
+        /// session answers every query kind bit for bit as the eager
+        /// oracle does, whatever order the queries arrive in — including
+        /// a savings bound that is the first to reach a family's knees.
+        #[test]
+        fn lazy_session_matches_eager_oracle_bitwise(seed in 0u64..=u64::MAX) {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let model = &models()[rng.gen_range(0..2usize)];
+            for enc in scenario_encodings() {
+                let mut lazy = CfSession::new(model, enc);
+                let mut eager = CfSession::new_eager(model, enc);
+                for _ in 0..6 {
+                    let mut ov = Vec::new();
+                    for _ in 0..rng.gen_range(1..5usize) {
+                        let i = rng.gen_range(0..enc.len());
+                        ov.push(if rng.gen_bool(0.25) {
+                            (i, enc.d_star_scaled[i], enc.e_star[i]) // identity
+                        } else {
+                            (i, enc.d_star_scaled[i] - rng.gen_range(0.0..2.0f32), 0.0)
+                        });
+                    }
+                    match rng.gen_range(0..3u8) {
+                        0 => {
+                            let (a, b) = (lazy.savings_bound_us(&ov), eager.savings_bound_us(&ov));
+                            prop_assert_eq!(a.to_bits(), b.to_bits());
+                        }
+                        1 => {
+                            let (a, b) = (lazy.predict_root(&ov), eager.predict_root(&ov));
+                            prop_assert_eq!(a.d_scaled.to_bits(), b.d_scaled.to_bits());
+                            prop_assert_eq!(a.error_prob.to_bits(), b.error_prob.to_bits());
+                        }
+                        _ => {
+                            let (a, b) = (lazy.predict_full(&ov), eager.predict_full(&ov));
+                            prop_assert_eq!(bits(&a), bits(&b));
+                        }
+                    }
+                }
+                prop_assert!(lazy.observed_families() <= eager.observed_families());
+                prop_assert!(lazy.abduced_families().all(|i| eager.abduced[i]));
+            }
+        }
     }
 }

@@ -21,8 +21,8 @@
 //! Interned strings are allocated once and intentionally never freed
 //! (the table only grows with the number of *distinct* identifiers,
 //! which is bounded by the deployment's service/operation vocabulary —
-//! the same argument `EmbeddingInterner` makes for one vector per
-//! distinct string). This is what makes `resolve` a borrow instead of
+//! the same argument the featurizer's embedding table makes for one
+//! vector per distinct identifier pair). This is what makes `resolve` a borrow instead of
 //! a reference-counted clone.
 
 use std::collections::HashMap;

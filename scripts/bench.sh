@@ -203,6 +203,7 @@ result = {
     "call_ratio": float(summary["call_ratio"]),
     "p50_speedup": float(summary["speedup"]),
     "identical_root_cause_sets": int(summary["identical_sets"]),
+    "observed_family_fraction": float(summary["observed_family_fraction"]),
 }
 path = os.environ["OUT"]
 with open(path, "w") as f:
@@ -352,6 +353,11 @@ if rca is not None:
         failures.append(f"BENCH_rca.json: call_ratio {ratio} exceeds 0.5 gate")
     if rca.get("identical_root_cause_sets") != 1:
         failures.append("BENCH_rca.json: pruned and unpruned verdicts diverged")
+    # Lazy, closure-only abduction: the sessions may evaluate at most a
+    # tenth of the trace families.
+    frac = rca.get("observed_family_fraction")
+    if not isinstance(frac, (int, float)) or frac > 0.1:
+        failures.append(f"BENCH_rca.json: observed_family_fraction {frac!r} missing or above 0.1")
 
 failover = load("BENCH_failover.json")
 if failover is not None:

@@ -217,8 +217,13 @@ if ratio > 0.5:
     sys.exit(f"BENCH_rca.json: call_ratio {ratio} exceeds the 0.5 gate")
 if data.get("identical_root_cause_sets") != 1:
     sys.exit("BENCH_rca.json: pruned and unpruned verdicts diverged")
+frac = data.get("observed_family_fraction")
+if not isinstance(frac, (int, float)):
+    sys.exit(f"BENCH_rca.json: observed_family_fraction missing: {frac!r}")
+if frac > 0.1:
+    sys.exit(f"BENCH_rca.json: observed_family_fraction {frac} exceeds the 0.1 gate")
 print(f"  call_ratio={ratio} p50_speedup={data.get('p50_speedup')} "
-      f"identical_root_cause_sets=1")
+      f"identical_root_cause_sets=1 observed_family_fraction={frac}")
 EOF
 
 echo "==> BENCH_failover.json sanity (parses; detection bound holds)"

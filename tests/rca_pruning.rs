@@ -11,7 +11,10 @@
 //!   scenario uses at most half of them in aggregate;
 //! * a labelled fault's subtree is never pruned: whenever a trace
 //!   carries ground truth and trips the anomaly detector, every
-//!   labelled service survives the [`SubtreeScan`].
+//!   labelled service survives the [`SubtreeScan`];
+//! * the pruned search's session abduces no more families than the
+//!   scan's surviving subgraph holds, and none when no span is
+//!   restorable.
 
 use std::sync::{Arc, OnceLock};
 
@@ -130,10 +133,26 @@ fn check_kind(kind: ScenarioKind, seed: u64, pipeline: &SleuthPipeline) -> KindS
         stats.calls_pruned += pruned.predict_calls;
         stats.calls_legacy += legacy.predict_calls;
 
+        // The session abduces families only inside the surviving
+        // subgraph, and none when nothing is restorable.
+        let scan = SubtreeScan::scan(trace, pruned_rca.profile());
+        let live_families = (0..trace.len())
+            .filter(|&i| scan.is_live(i) && !trace.children(i).is_empty())
+            .count();
+        assert!(
+            pruned.observed_families as usize <= live_families,
+            "{}-s{seed} trace {}: abduced {} families, only {live_families} survive the scan",
+            kind.name(),
+            trace.trace_id(),
+            pruned.observed_families
+        );
+        if scan.restorable().is_empty() {
+            assert_eq!(pruned.observed_families, 0);
+        }
+
         // A labelled, detector-visible fault must survive the scan.
         let gt = &st.sim.ground_truth.services;
         if !gt.is_empty() && pipeline.detector().is_anomalous(trace) {
-            let scan = SubtreeScan::scan(trace, pruned_rca.profile());
             for svc in gt {
                 stats.survives_checked += 1;
                 assert!(
